@@ -5,13 +5,13 @@
 // The acceptance criteria this suite pins:
 //
 //   * BM_Group_Sweep/N vs BM_Group_Independent/N — N coalesced members over
-//     the coNP family's enumeration-side pattern, grouped vs the
-//     `--no-group-sweep` twin.  The exported `rebuilds_per_decision`
-//     counter (trees_rebuilt_from_spine / member decisions) falls with N
-//     grouped and stays flat independent.
-//   * BM_Group_AmortizationFloor — both modes inside one benchmark at group
+//     the coNP family's enumeration-side pattern, decided by one
+//     `ContainsGroup` call vs one `Contains` call per member.  The exported
+//     `rebuilds_per_decision` counter (trees_rebuilt_from_spine / member
+//     decisions) falls with N grouped and stays flat independent.
+//   * BM_Group_AmortizationFloor — both arms inside one benchmark at group
 //     size 8: `rebuild_reduction` (independent / grouped rebuilds per
-//     decision) must be >= 5x, and the two modes must agree on every
+//     decision) must be >= 5x, and the two arms must agree on every
 //     member's verdict every iteration, else SkipWithError.
 //   * BM_Group_MixedEarlyRetire — half the members are refuted by the first
 //     canonical model: the undecided-mask sweep retires them immediately
@@ -160,7 +160,7 @@ int64_t Stat(const EngineContext& ctx,
 }
 
 /// Sums a counter over the group context and every member context, so the
-/// total is comparable across modes (grouped work lands on the group
+/// total is comparable across arms (grouped work lands on the group
 /// context, independent work on the members').
 int64_t TotalStat(const EngineContext& group_ctx,
                   const std::vector<std::unique_ptr<EngineContext>>& members,
@@ -170,6 +170,16 @@ int64_t TotalStat(const EngineContext& group_ctx,
   return total;
 }
 
+/// The independent arm: one `Contains` call per member on its own context.
+std::vector<ContainmentResult> Independent(
+    const Tpq& p, const std::vector<GroupMember>& members, LabelPool* pool) {
+  std::vector<ContainmentResult> results;
+  for (const GroupMember& m : members) {
+    results.push_back(Contains(p, *m.q, Mode::kWeak, pool, m.ctx));
+  }
+  return results;
+}
+
 void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {
   const int size = static_cast<int>(state.range(0));
   GroupWorkload w(refuted);
@@ -177,8 +187,6 @@ void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  ContainmentOptions options;
-  options.grouped_sweep = grouped;
   EngineContext group_ctx;
   std::vector<std::unique_ptr<EngineContext>> member_ctxs;
   for (int i = 0; i < size; ++i) {
@@ -192,7 +200,8 @@ void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {
                              [static_cast<size_t>(i)].get()});
     }
     std::vector<ContainmentResult> results =
-        ContainsGroup(w.p, members, Mode::kWeak, &w.pool, &group_ctx, options);
+        grouped ? ContainsGroup(w.p, members, Mode::kWeak, &w.pool, &group_ctx)
+                : Independent(w.p, members, &w.pool);
     for (int i = 0; i < size; ++i) {
       const ContainmentResult& r = results[static_cast<size_t>(i)];
       if (r.outcome != Outcome::kDecided ||
@@ -252,7 +261,7 @@ BENCHMARK(BM_Group_MixedEarlyRetire)
     ->Unit(benchmark::kMillisecond)
     ->Arg(8);
 
-// Both modes inside one benchmark, so the >= 5x reduction is asserted on
+// Both arms inside one benchmark, so the >= 5x reduction is asserted on
 // the same machine state that produced the numbers.  Per iteration: one
 // grouped pass and one independent pass over the same 8 members, verdicts
 // cross-checked member by member.
@@ -263,34 +272,31 @@ void BM_Group_AmortizationFloor(benchmark::State& state) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  ContainmentOptions grouped_opts;   // grouped_sweep = true (default)
-  ContainmentOptions twin_opts;
-  twin_opts.grouped_sweep = false;
-  EngineContext grouped_group_ctx, twin_group_ctx;
-  std::vector<std::unique_ptr<EngineContext>> grouped_ctxs, twin_ctxs;
+  // The independent arm shares nothing, so its group context stays idle.
+  EngineContext grouped_group_ctx, idle_group_ctx;
+  std::vector<std::unique_ptr<EngineContext>> grouped_ctxs, independent_ctxs;
   for (int i = 0; i < kSize; ++i) {
     grouped_ctxs.push_back(std::make_unique<EngineContext>());
-    twin_ctxs.push_back(std::make_unique<EngineContext>());
+    independent_ctxs.push_back(std::make_unique<EngineContext>());
   }
   int64_t decisions = 0;
   for (auto _ : state) {
-    std::vector<GroupMember> grouped_members, twin_members;
+    std::vector<GroupMember> grouped_members, independent_members;
     for (int i = 0; i < kSize; ++i) {
       grouped_members.push_back(
           {&w.qs[static_cast<size_t>(i)], grouped_ctxs[static_cast<size_t>(i)]
                .get()});
-      twin_members.push_back(
-          {&w.qs[static_cast<size_t>(i)], twin_ctxs[static_cast<size_t>(i)]
-               .get()});
+      independent_members.push_back(
+          {&w.qs[static_cast<size_t>(i)],
+           independent_ctxs[static_cast<size_t>(i)].get()});
     }
     std::vector<ContainmentResult> grouped = ContainsGroup(
-        w.p, grouped_members, Mode::kWeak, &w.pool, &grouped_group_ctx,
-        grouped_opts);
-    std::vector<ContainmentResult> twin = ContainsGroup(
-        w.p, twin_members, Mode::kWeak, &w.pool, &twin_group_ctx, twin_opts);
+        w.p, grouped_members, Mode::kWeak, &w.pool, &grouped_group_ctx);
+    std::vector<ContainmentResult> independent =
+        Independent(w.p, independent_members, &w.pool);
     for (int i = 0; i < kSize; ++i) {
       const ContainmentResult& g = grouped[static_cast<size_t>(i)];
-      const ContainmentResult& t = twin[static_cast<size_t>(i)];
+      const ContainmentResult& t = independent[static_cast<size_t>(i)];
       if (g.outcome != Outcome::kDecided || t.outcome != Outcome::kDecided ||
           g.contained != t.contained ||
           g.contained != w.reference[static_cast<size_t>(i)]) {
@@ -300,20 +306,21 @@ void BM_Group_AmortizationFloor(benchmark::State& state) {
     }
     decisions += kSize;
     benchmark::DoNotOptimize(grouped.data());
-    benchmark::DoNotOptimize(twin.data());
+    benchmark::DoNotOptimize(independent.data());
   }
   if (decisions > 0) {
     const double grouped_rebuilds = static_cast<double>(
         TotalStat(grouped_group_ctx, grouped_ctxs,
                   &EngineStats::trees_rebuilt_from_spine));
-    const double twin_rebuilds = static_cast<double>(TotalStat(
-        twin_group_ctx, twin_ctxs, &EngineStats::trees_rebuilt_from_spine));
+    const double independent_rebuilds = static_cast<double>(
+        TotalStat(idle_group_ctx, independent_ctxs,
+                  &EngineStats::trees_rebuilt_from_spine));
     state.counters["grouped_rebuilds_per_decision"] =
         grouped_rebuilds / static_cast<double>(decisions);
     state.counters["independent_rebuilds_per_decision"] =
-        twin_rebuilds / static_cast<double>(decisions);
+        independent_rebuilds / static_cast<double>(decisions);
     const double reduction =
-        grouped_rebuilds > 0 ? twin_rebuilds / grouped_rebuilds : 0.0;
+        grouped_rebuilds > 0 ? independent_rebuilds / grouped_rebuilds : 0.0;
     state.counters["rebuild_reduction"] = reduction;
     // The PR's acceptance floor: one shared enumeration for 8 members must
     // rebuild >= 5x fewer trees per decision than 8 independent sweeps.

@@ -18,7 +18,10 @@
 //
 // Flags (anywhere on the command line):
 //   --stats          print the engine's instrumentation counters as JSON
-//                    (includes steps/bytes used and the exhaustion reason)
+//                    (includes steps/bytes used and the exhaustion reason);
+//                    a batch run also prints one coalescing summary line
+//                    for the grouped canonical sweep (groups formed, mean
+//                    size, early-retire rate) before the counter JSON
 //   --batch <file>   decide many pairs through the query service
 //   --no-cache       batch A/B: disable minimize+hash+verdict-cache layer
 //   --no-prefilter   batch A/B: disable homomorphism/probe prefilters
@@ -32,13 +35,6 @@
 //   --no-compile     never lower patterns to flat matcher programs
 //                    (src/compile/); always use the generic embedding DP
 //                    (A/B: verdicts must be identical)
-//   --no-group-sweep batch A/B: decide every pair by an independent
-//                    containment call instead of grouping pairs that share
-//                    the enumeration-side pattern into one canonical-model
-//                    sweep (verdicts and attribution must be identical);
-//                    with --stats the batch run also prints one coalescing
-//                    summary line (groups formed, mean size, early-retire
-//                    rate) before the counter JSON
 //   --fault-exhaust-at <n> / --fault-alloc-at <k> / --fault-cancel-at <n>
 //                    deterministic fault injection (chaos drills): force
 //                    budget exhaustion at the nth charge, fail the kth
@@ -125,9 +121,6 @@ int Usage() {
                "  --no-antichain   disable schema-engine subsumption pruning\n"
                "  --no-word-parallel  scalar embedding-DP fill (A/B)\n"
                "  --no-compile     disable compiled matcher programs (A/B)\n"
-               "  --no-group-sweep batch: decide pairs independently instead\n"
-               "                   of sharing one canonical sweep per\n"
-               "                   enumeration-side pattern (A/B)\n"
                "  --fault-exhaust-at <n>  force exhaustion at the nth charge\n"
                "  --fault-alloc-at <k>    fail the kth tracked allocation\n"
                "  --fault-cancel-at <n>   cancel at the nth charge\n");
@@ -221,9 +214,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-compile") == 0) {
       contain_options.compiled_matcher = false;
       service_options.containment.compiled_matcher = false;
-    } else if (std::strcmp(argv[i], "--no-group-sweep") == 0) {
-      contain_options.grouped_sweep = false;
-      service_options.containment.grouped_sweep = false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       batch_file = argv[++i];
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {

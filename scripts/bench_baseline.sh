@@ -44,13 +44,33 @@
 # matter what, so the check reads the repo's own cache instead; the real
 # build type is also stamped into every JSON as tpc_build_type.)
 #
-# Usage: scripts/bench_baseline.sh [benchmark_filter_regex]
-# The optional regex is passed to --benchmark_filter of both suites
-# (default: all).
+# Usage: scripts/bench_baseline.sh [benchmark_filter_regex [suite]]
+# The optional regex is passed to --benchmark_filter of every suite run
+# (default: all).  The optional suite name (table1, table45, service,
+# compile, persist, group or serve) builds and runs that suite alone, so
+# only its BENCH_<suite>.json is rewritten (default: all seven).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 filter="${1:-.}"
+declare -A bins=(
+  [table1]=bench_table1_containment
+  [table45]=bench_table45_schema_containment
+  [service]=bench_service
+  [compile]=bench_compile
+  [persist]=bench_persist
+  [group]=bench_group
+  [serve]=bench_serve
+)
+suites=(table1 table45 service compile persist group serve)
+if [[ $# -ge 2 ]]; then
+  if [[ -z ${bins[$2]:-} ]]; then
+    echo "usage: $0 [benchmark_filter_regex" \
+      "[table1|table45|service|compile|persist|group|serve]]" >&2
+    exit 2
+  fi
+  suites=("$2")
+fi
 
 cmake --preset release
 
@@ -64,14 +84,9 @@ case "$build_type" in
     ;;
 esac
 
-cmake --build --preset release -j "$(nproc)" \
-  --target bench_table1_containment \
-  --target bench_table45_schema_containment \
-  --target bench_service \
-  --target bench_compile \
-  --target bench_persist \
-  --target bench_group \
-  --target bench_serve
+targets=()
+for suite in "${suites[@]}"; do targets+=(--target "${bins[$suite]}"); done
+cmake --build --preset release -j "$(nproc)" "${targets[@]}"
 
 run_suite() {
   local bin="$1" out="$2"
@@ -84,10 +99,6 @@ run_suite() {
   echo "wrote $(pwd)/$out"
 }
 
-run_suite bench_table1_containment BENCH_table1.json
-run_suite bench_table45_schema_containment BENCH_table45.json
-run_suite bench_service BENCH_service.json
-run_suite bench_compile BENCH_compile.json
-run_suite bench_persist BENCH_persist.json
-run_suite bench_group BENCH_group.json
-run_suite bench_serve BENCH_serve.json
+for suite in "${suites[@]}"; do
+  run_suite "${bins[$suite]}" "BENCH_$suite.json"
+done

@@ -38,13 +38,18 @@
 #                                    (mmap lifetime/out-of-bounds reads over
 #                                    the mapped columns, unaligned-load UB
 #                                    in the record cursors)
-#   scripts/check.sh group           the grouped-sweep gate: the 500-instance
-#                                    grouped-vs-independent agreement suite
-#                                    and the member fault matrix under asan
-#                                    AND tsan (the parallel sweep shares one
-#                                    undecided mask across worker threads,
+#   scripts/check.sh group           the canonical-sweep gate: the
+#                                    500-instance group agreement suite
+#                                    (grouped and solo vs a reference
+#                                    sweep), the member fault matrix and
+#                                    every solo-sweep suite (incremental,
+#                                    compiled, fault injection, engine
+#                                    context, Table 1) under asan AND tsan:
+#                                    solo and grouped sweeps, parallel ones
+#                                    included, run one loop whose undecided
+#                                    mask is shared across worker threads,
 #                                    and a faulted member's unwind must
-#                                    never touch a groupmate's attribution)
+#                                    never touch a groupmate's attribution
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +58,7 @@ LAYOUT_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test'
 COMPILE_TESTS='compiled_agreement_test|program_cache_test'
 PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test'
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'
-GROUP_TESTS='group_agreement_test|group_fault_test'
+GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|compiled_agreement_test|fault_injection_test|engine_context_test|table1_sweep_test'
 
 run_preset() {
   local preset="$1"; shift
@@ -96,7 +101,7 @@ elif [[ $1 == persist ]]; then
   done
   exit 0
 elif [[ $1 == group ]]; then
-  echo "== grouped-sweep gate (agreement + member faults under asan + tsan) =="
+  echo "== canonical-sweep gate (group + solo sweep suites under asan + tsan) =="
   for preset in asan tsan; do
     run_preset "$preset" -R "$GROUP_TESTS"
   done

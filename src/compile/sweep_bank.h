@@ -1,4 +1,4 @@
-// A bank of per-member matcher executors for the grouped canonical sweep.
+// A bank of per-member matcher executors for the canonical sweep.
 //
 // The coNP procedure enumerates canonical models of the *enumeration-side*
 // pattern p; when many in-flight queries share p (zipf tenant traffic, batch
@@ -8,14 +8,14 @@
 // pattern q_i, each holding the member's compiled `MatcherProgram` +
 // `ProgramSweep` executor — or the generic `MatcherWorkspace` fallback when
 // the pattern is oversize (> 64 nodes) or compilation was declined — so the
-// grouped sweep in contain/containment.cc just walks the undecided mask and
-// calls `EvalMember` per live member.
+// sweep in contain/containment.cc (a solo decision is a group of one) just
+// walks the undecided mask and calls `EvalMember` per live member.
 //
 // Attribution stays per member: `ChargeMember` books the executor's table
 // bytes against the *member's* budget (exactly the bytes a solo sweep of
 // that member would charge), and `EvalMember` reports DP work into the
 // member's own `EngineStats`.  The bank itself owns no budget and no lock —
-// the grouped sweep drives one bank per thread.
+// the sweep drives one bank per chunk.
 
 #ifndef TPC_COMPILE_SWEEP_BANK_H_
 #define TPC_COMPILE_SWEEP_BANK_H_

@@ -58,9 +58,10 @@ struct ContainmentResult {
   std::optional<Tree> counterexample;
   /// The spine chain-length vector (one entry per descendant edge of p, in
   /// document order) whose canonical model the counterexample is.  Set
-  /// whenever `counterexample` comes from a canonical model — including the
-  /// parallel sweep, the homomorphism route (all-ones vector) and the
-  /// single/minimal canonical routes.
+  /// whenever `counterexample` comes from a canonical model — the canonical
+  /// sweep, the homomorphism route (all-ones vector) and the single/minimal
+  /// canonical routes.  A sequential sweep reports the first counterexample
+  /// in enumeration order; a parallel one, the first any chunk records.
   std::optional<std::vector<int32_t>> counterexample_lengths;
   ContainmentAlgorithm algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
   /// `kResourceExhausted` when the engine budget ran out before the answer
@@ -112,14 +113,6 @@ struct ContainmentOptions {
   /// service owns one beside its verdict cache).  Null means: sweeps still
   /// compile per call, single-tree routes never do (no hotness evidence).
   ProgramCache* program_cache = nullptr;
-  /// If true (default) `ContainsGroup` — and the query-service batch
-  /// grouping and daemon coalescing window built on it — may decide
-  /// canonical-route members sharing the enumeration-side pattern over ONE
-  /// model enumeration (each canonical tree built once, every undecided
-  /// member's matcher run against it).  If false every member is decided by
-  /// an independent `Contains` call — the `--no-group-sweep` A/B twin.
-  /// Verdicts and per-member attribution are identical either way.
-  bool grouped_sweep = true;
 };
 
 /// Decides L(p) ⊆ L(q) (weak or strong languages per `mode`) under the
@@ -147,26 +140,28 @@ struct GroupMember {
 
 /// Decides L(p) ⊆ L(q_i) for every member against ONE shared
 /// enumeration-side pattern p.  Members that the dispatcher routes to a
-/// fragment-specific P algorithm (or whose chain-length bound differs) are
-/// decided exactly as `Contains` would; the canonical-route members with
-/// equal bound are swept together — each canonical tree of p is built once
-/// and evaluated against every still-undecided member, and a member retires
-/// at its first counterexample or budget trip (the undecided mask).  Strong
-/// mode applies the Observation 2.3 root relabelling once for the whole
-/// group.  Shared work (tree builds, enumeration) is accounted on
-/// `group_ctx`; `group_ctx` also provides the thread pool for the chunked
-/// parallel sweep.  Results are indexed like `members`.  With
-/// `options.grouped_sweep` false this is exactly one `Contains` call per
-/// member (the A/B twin).
+/// fragment-specific P algorithm are decided exactly as `Contains` would;
+/// the canonical-route members with equal chain-length bound are swept
+/// together — each canonical tree of p is built once and evaluated against
+/// every still-undecided member, and a member retires at its first
+/// counterexample or budget trip (the undecided mask).  Strong mode applies
+/// the Observation 2.3 root relabelling once for the whole group.  Shared
+/// work (tree builds, enumeration) is accounted on `group_ctx`, which also
+/// provides the thread pool for the chunked parallel sweep; a member alone
+/// on its bound sweeps on its own context, as `Contains` would.  Results
+/// are indexed like `members`.
 std::vector<ContainmentResult> ContainsGroup(
     const Tpq& p, const std::vector<GroupMember>& members, Mode mode,
     LabelPool* pool, EngineContext* group_ctx,
     const ContainmentOptions& options = {});
 
 /// The general canonical-model procedure (sound and complete for all
-/// fragments; exponential in the number of descendant edges of p).  With
-/// `ctx->threads() > 1` the length-vector space is partitioned into chunks
-/// swept in parallel, with early exit on the first counterexample.
+/// fragments; exponential in the number of descendant edges of p): the
+/// `ContainsGroup` sweep run for a group of one, with `ctx` as both the
+/// member and the group context.  With `ctx->threads() > 1` (and unless
+/// `options.sequential_sweep`) a space of at least `parallel_threshold`
+/// models is partitioned into chunks swept in parallel, with early exit on
+/// the first counterexample.
 ContainmentResult CanonicalContainment(const Tpq& p, const Tpq& q, Mode mode,
                                        LabelPool* pool, EngineContext* ctx,
                                        const ContainmentOptions& options = {});

@@ -103,7 +103,20 @@ struct Cursor {
     off = target;
     return true;
   }
+  /// Whether `count` records of at least `min_record` bytes each can still
+  /// fit.  Header counts lie outside the payload checksum, so each is bounded
+  /// this way before anything is reserved for it.
+  bool Fits(uint64_t count, uint64_t min_record) const {
+    return count <= (size - off) / min_record;
+  }
 };
+
+// Smallest encoding of one record per section, padding included.
+constexpr uint64_t kMinLabelBytes = 8;     // u32 length, padded
+constexpr uint64_t kMinTreeBytes = 32;     // u32 n, u32 pad, 6 x n >= 1 u32
+constexpr uint64_t kMinPatternBytes = 40;  // 24-byte header, n >= 1 x 9 bytes
+constexpr uint64_t kMinVerdictBytes = 24;  // 5 x u32, padded
+constexpr uint64_t kMinHotBytes = 8;       // 2 x u32
 
 bool Fail(std::string* error, const std::string& reason) {
   if (error != nullptr) *error = "snapshot: " + reason;
@@ -381,6 +394,9 @@ bool SnapshotReader::Validate(std::string* error) {
              static_cast<uint64_t>(mapped_bytes_) - kHeaderBytes};
 
   // Labels: spellings in id order; id 0 must be the wildcard.
+  if (!cur.Fits(label_count_, kMinLabelBytes)) {
+    return Fail(error, "label count exceeds the file");
+  }
   labels_.reserve(label_count_);
   for (uint32_t i = 0; i < label_count_; ++i) {
     uint32_t len;
@@ -393,6 +409,9 @@ bool SnapshotReader::Validate(std::string* error) {
   if (labels_[0] != "*") return Fail(error, "label id 0 is not the wildcard");
 
   // Trees: six columns each, then the full invariant check.
+  if (!cur.Fits(tree_count, kMinTreeBytes)) {
+    return Fail(error, "tree count exceeds the file");
+  }
   trees_.reserve(tree_count);
   for (uint32_t i = 0; i < tree_count; ++i) {
     uint32_t n, pad;
@@ -429,6 +448,9 @@ bool SnapshotReader::Validate(std::string* error) {
   }
 
   // Patterns.
+  if (!cur.Fits(pat_count, kMinPatternBytes)) {
+    return Fail(error, "pattern count exceeds the file");
+  }
   patterns_.reserve(pat_count);
   for (uint32_t i = 0; i < pat_count; ++i) {
     uint32_t n, pad;
@@ -474,6 +496,9 @@ bool SnapshotReader::Validate(std::string* error) {
   }
 
   // Verdicts.
+  if (!cur.Fits(verdict_count, kMinVerdictBytes)) {
+    return Fail(error, "verdict count exceeds the file");
+  }
   verdicts_.reserve(verdict_count);
   for (uint32_t i = 0; i < verdict_count; ++i) {
     VerdictRecord rec;
@@ -511,6 +536,9 @@ bool SnapshotReader::Validate(std::string* error) {
   }
 
   // Hot programs.
+  if (!cur.Fits(hot_count, kMinHotBytes)) {
+    return Fail(error, "hot-program count exceeds the file");
+  }
   hot_programs_.reserve(hot_count);
   for (uint32_t i = 0; i < hot_count; ++i) {
     SnapshotHotProgram rec;

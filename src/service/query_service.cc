@@ -569,7 +569,6 @@ std::vector<ContainmentResult> QueryService::ContainsGroupFor(
     const std::vector<GroupQuery>& queries) {
   std::vector<ContainmentResult> results(queries.size());
   if (queries.empty()) return results;
-  const bool grouped = options_.containment.grouped_sweep;
   std::vector<PendingDecision> pending(queries.size());
   std::vector<PendingRef> refs;
   // Shared sweep work (tree builds, enumeration) is accounted on the first
@@ -578,7 +577,7 @@ std::vector<ContainmentResult> QueryService::ContainsGroupFor(
   for (size_t i = 0; i < queries.size(); ++i) {
     const GroupQuery& gq = queries[i];
     results[i] = DecideOne(*gq.p, *gq.q, gq.mode, /*in_worker=*/true, gq.ctx,
-                           grouped ? &pending[i] : nullptr);
+                           &pending[i]);
     if (pending[i].active) {
       if (group_ctx == nullptr) group_ctx = gq.ctx;
       refs.push_back({&pending[i], &results[i], gq.ctx});
@@ -634,40 +633,36 @@ std::vector<ContainmentResult> QueryService::ContainsBatch(
   ctx_->stats().batch_deduped.fetch_add(folded, std::memory_order_relaxed);
 
   std::vector<ContainmentResult> unique_results(representative.size());
-  // With grouping on, pairs the fast path cannot answer are deferred in
-  // stage 1 and decided in stage 2, where items sharing an
-  // enumeration-side pattern run one canonical-model sweep together.
-  const bool grouped = options_.containment.grouped_sweep;
-  std::vector<PendingDecision> pending(grouped ? representative.size() : 0);
+  // Pairs the fast path cannot answer are deferred in stage 1 and decided
+  // in stage 2, where items sharing an enumeration-side pattern run one
+  // canonical-model sweep together.
+  std::vector<PendingDecision> pending(representative.size());
   const bool parallel = ctx_->threads() > 1 && representative.size() > 1;
   if (parallel) {
     // Workers force sequential sweeps: ParallelFor must not reenter.
     ctx_->pool().ParallelFor(
         static_cast<int64_t>(representative.size()), [&](int64_t u) {
           const BatchItem& item = items[representative[static_cast<size_t>(u)]];
-          unique_results[static_cast<size_t>(u)] = DecideOne(
-              item.p, item.q, item.mode, /*in_worker=*/true, ctx_,
-              grouped ? &pending[static_cast<size_t>(u)] : nullptr);
+          unique_results[static_cast<size_t>(u)] =
+              DecideOne(item.p, item.q, item.mode, /*in_worker=*/true, ctx_,
+                        &pending[static_cast<size_t>(u)]);
         });
   } else {
     for (size_t u = 0; u < representative.size(); ++u) {
       const BatchItem& item = items[representative[u]];
       unique_results[u] = DecideOne(item.p, item.q, item.mode,
-                                    /*in_worker=*/false, ctx_,
-                                    grouped ? &pending[u] : nullptr);
+                                    /*in_worker=*/false, ctx_, &pending[u]);
     }
   }
-  if (grouped) {
-    std::vector<PendingRef> refs;
-    for (size_t u = 0; u < representative.size(); ++u) {
-      if (pending[u].active) {
-        refs.push_back({&pending[u], &unique_results[u], ctx_});
-      }
+  std::vector<PendingRef> refs;
+  for (size_t u = 0; u < representative.size(); ++u) {
+    if (pending[u].active) {
+      refs.push_back({&pending[u], &unique_results[u], ctx_});
     }
-    // Independent groups fan out only when stage 1 already forced
-    // sequential sweeps onto the deferred options.
-    if (!refs.empty()) DecideDeferred(&refs, ctx_, parallel);
   }
+  // Independent groups fan out only when stage 1 already forced sequential
+  // sweeps onto the deferred options.
+  if (!refs.empty()) DecideDeferred(&refs, ctx_, parallel);
   for (size_t i = 0; i < items.size(); ++i) {
     results[i] = unique_results[owner[i]];
   }

@@ -28,8 +28,7 @@
 //      not reenter.  Pairs that survive every fast-path layer are then
 //      *grouped* by (enumeration-side pattern, mode) and decided through
 //      `tpc::ContainsGroup`, which enumerates the shared pattern's
-//      canonical models once for the whole group
-//      (`ContainmentOptions::grouped_sweep`; `ContainsGroupFor` is the
+//      canonical models once for the whole group (`ContainsGroupFor` is the
 //      daemon-side entry for its coalescing window).
 //   5. *Pattern compilation* (src/compile/): hot minimized patterns are
 //      lowered to flat matcher programs pooled beside the verdict cache and

@@ -1,18 +1,22 @@
-// A/B agreement: the grouped canonical sweep (`ContainsGroup`, the query
+// Agreement of the grouped canonical sweep (`ContainsGroup`, the query
 // service's batch grouping and the daemon-style `ContainsGroupFor` entry)
-// against independent solo decisions.  Grouping is a pure execution-plan
-// change, so EVERYTHING observable must survive it: verdicts, outcomes,
-// exhaustion reasons and per-member step attribution (bit-identical budget
-// charges on sequential sweeps), counterexample length vectors on
-// deterministic configurations, and witness validity on parallel ones.
-// 500 random instances across group sizes 1/4/16, both modes, and
-// 1/2/4-thread group contexts.
+// with solo decisions and with a test-only reference sweep.  Solo and
+// grouped decisions share one sweep loop, so the 500-instance suite checks
+// both against `ReferenceSweep` below, which builds every canonical model
+// from scratch and matches it with a fresh `Matcher`.  Grouping is a pure
+// execution-plan change, so EVERYTHING observable must survive it:
+// verdicts, outcomes, exhaustion reasons and per-member step attribution
+// (bit-identical budget charges on sequential sweeps), counterexample
+// length vectors on deterministic configurations, and witness validity on
+// parallel ones.  500 random instances across group sizes 1/4/16, both
+// modes, and 1/2/4-thread group contexts.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "base/label.h"
@@ -20,6 +24,7 @@
 #include "engine/engine.h"
 #include "gen/random_instances.h"
 #include "match/embedding.h"
+#include "pattern/canonical.h"
 #include "reductions/hardness_families.h"
 #include "service/query_service.h"
 
@@ -69,9 +74,52 @@ ConpGroupPatterns MakeConpGroupPatterns(LabelPool* pool) {
   return out;
 }
 
-// The 500-instance core: sequential grouped decisions must be
-// indistinguishable from solo ones — verdict, outcome, reason, selected
-// algorithm, counterexample lengths AND the member's own step charges.
+/// Test-only reference for the canonical-model procedure (Theorem 3.3):
+/// every canonical model of p with chains up to the safe bound |q|+1,
+/// each built from scratch by `CanonicalTree` and matched by a fresh
+/// `Matcher`, in `CanonicalLengthEnumerator` order — no suffix rebuild, no
+/// `SweepBank`, no dispatcher.  Strong mode matches root to root directly
+/// instead of relabelling roots (Observation 2.3).  Returns the first
+/// refuting length vector, or nullopt when q matches every model.
+std::optional<std::vector<int32_t>> ReferenceSweep(const Tpq& p, const Tpq& q,
+                                                   Mode mode,
+                                                   LabelId bottom) {
+  CanonicalLengthEnumerator lengths(DescendantEdges(p).size(), q.size() + 1);
+  do {
+    const Tree t = CanonicalTree(p, lengths.lengths(), bottom);
+    const Matcher m(q, t);
+    if (!(mode == Mode::kStrong ? m.MatchesStrong() : m.MatchesWeak())) {
+      return lengths.lengths();
+    }
+  } while (lengths.Next());
+  return std::nullopt;
+}
+
+/// Checks one decided result against the reference: the verdict always; on
+/// the canonical-enumeration route the exact first-in-order length vector;
+/// on the other canonical-model routes (homomorphism all-ones, minimal
+/// canonical all-zeros) that the reported vector's model really refutes q.
+void ExpectAgreesWithReference(
+    const ContainmentResult& r, const Tpq& p, const Tpq& q, Mode mode,
+    LabelId bottom, const std::optional<std::vector<int32_t>>& reference,
+    const std::string& where) {
+  ASSERT_EQ(r.outcome, Outcome::kDecided) << where;
+  ASSERT_EQ(r.contained, !reference.has_value()) << where;
+  if (!r.counterexample_lengths.has_value()) return;
+  ASSERT_FALSE(r.contained) << where;
+  if (r.algorithm == ContainmentAlgorithm::kCanonicalEnumeration) {
+    EXPECT_EQ(*r.counterexample_lengths, *reference) << where;
+    return;
+  }
+  const Tree t = CanonicalTree(p, *r.counterexample_lengths, bottom);
+  const Matcher m(q, t);
+  EXPECT_FALSE(mode == Mode::kStrong ? m.MatchesStrong() : m.MatchesWeak())
+      << where << ": reported lengths do not refute q";
+}
+
+// The 500-instance core: grouped and solo decisions must both agree with
+// the reference sweep — verdict and counterexample lengths — and grouped
+// decisions must charge each member exactly its solo steps.
 TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
   LabelPool pool;
   std::mt19937 rng(47);
@@ -81,6 +129,7 @@ TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
   popts.fragment = fragments::kTpqFull;
   RandomTpqOptions qopts = popts;
 
+  const LabelId bottom = pool.Fresh("_ref_bot");
   const int sizes[] = {1, 4, 16};
   int members_checked = 0;
   int not_contained = 0;
@@ -107,25 +156,24 @@ TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
     ASSERT_EQ(grouped.size(), static_cast<size_t>(group_size));
 
     for (int j = 0; j < group_size; ++j) {
+      const Tpq& q = qs[static_cast<size_t>(j)];
       EngineContext solo_ctx;
-      ContainmentResult solo =
-          Contains(p, qs[static_cast<size_t>(j)], mode, &pool, &solo_ctx);
+      ContainmentResult solo = Contains(p, q, mode, &pool, &solo_ctx);
       const ContainmentResult& g = grouped[static_cast<size_t>(j)];
-      ASSERT_EQ(g.outcome, solo.outcome) << "trial " << trial << " member " << j;
-      ASSERT_EQ(g.contained, solo.contained)
-          << "trial " << trial << " member " << j << ": "
-          << p.ToString(pool) << " in "
-          << qs[static_cast<size_t>(j)].ToString(pool);
+      const std::optional<std::vector<int32_t>> reference =
+          ReferenceSweep(p, q, mode, bottom);
+      const std::string where = "trial " + std::to_string(trial) +
+                                " member " + std::to_string(j) + ": " +
+                                p.ToString(pool) + " in " + q.ToString(pool);
+      ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithReference(
+          g, p, q, mode, bottom, reference, "grouped " + where));
+      ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithReference(
+          solo, p, q, mode, bottom, reference, "solo " + where));
       ASSERT_EQ(g.reason, solo.reason);
-      ASSERT_EQ(g.algorithm, solo.algorithm)
-          << "trial " << trial << " member " << j;
+      ASSERT_EQ(g.algorithm, solo.algorithm) << where;
       ASSERT_EQ(g.counterexample_lengths.has_value(),
                 solo.counterexample_lengths.has_value());
-      if (g.counterexample_lengths.has_value()) {
-        EXPECT_EQ(*g.counterexample_lengths, *solo.counterexample_lengths)
-            << "trial " << trial << " member " << j;
-        ++not_contained;
-      }
+      if (reference.has_value()) ++not_contained;
       // Attribution identity: the member's grouped charges equal its solo
       // charges — shared tree builds are free for members by construction.
       EXPECT_EQ(member_ctxs[static_cast<size_t>(j)]->budget().steps_used(),
@@ -288,8 +336,9 @@ TEST(GroupAgreementTest, ConpGroupSharesOneEnumeration) {
       << "grouping failed to amortize tree rebuilds";
 }
 
-// Service-level twin: ContainsBatch with grouping on and off must produce
-// identical verdicts, and only the grouped service may form sweep groups.
+// Service level: ContainsBatch must produce the verdicts per-item
+// `QueryService::Contains` (which never defers into a group) produces on a
+// second service, and only the batch may form sweep groups.
 TEST(GroupAgreementTest, BatchGroupingIsVerdictInvisible) {
   LabelPool pool;
   ConpFamilyInstance inst = BuildConpFamily(3, &pool);
@@ -311,30 +360,28 @@ TEST(GroupAgreementTest, BatchGroupingIsVerdictInvisible) {
   items.push_back({inst.p, pats.b, Mode::kStrong});
   items.push_back({inst.p, pats.a, Mode::kWeak});  // duplicate, folded
 
-  ServiceOptions grouped_opts;
   EngineContext grouped_ctx;
-  QueryService grouped_service(&pool, &grouped_ctx, grouped_opts);
+  QueryService grouped_service(&pool, &grouped_ctx);
   std::vector<ContainmentResult> grouped =
       grouped_service.ContainsBatch(items);
 
-  ServiceOptions twin_opts;
-  twin_opts.containment.grouped_sweep = false;
-  EngineContext twin_ctx;
-  QueryService twin_service(&pool, &twin_ctx, twin_opts);
-  std::vector<ContainmentResult> twin = twin_service.ContainsBatch(items);
-
+  EngineContext reference_ctx;
+  QueryService reference_service(&pool, &reference_ctx);
   ASSERT_EQ(grouped.size(), items.size());
   for (size_t i = 0; i < items.size(); ++i) {
+    const ContainmentResult reference =
+        reference_service.Contains(items[i].p, items[i].q, items[i].mode);
     ASSERT_EQ(grouped[i].outcome, Outcome::kDecided) << "item " << i;
-    ASSERT_EQ(twin[i].outcome, Outcome::kDecided) << "item " << i;
-    EXPECT_EQ(grouped[i].contained, twin[i].contained) << "item " << i;
+    ASSERT_EQ(reference.outcome, Outcome::kDecided) << "item " << i;
+    EXPECT_EQ(grouped[i].contained, reference.contained) << "item " << i;
   }
   EXPECT_GE(grouped_ctx.stats().sweep_groups_formed.load(
                 std::memory_order_relaxed),
             1)
       << "the coNP items share p and a bound — the batch must group them";
-  EXPECT_EQ(
-      twin_ctx.stats().sweep_groups_formed.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(reference_ctx.stats().sweep_groups_formed.load(
+                std::memory_order_relaxed),
+            0);
 }
 
 // Daemon-style entry: per-request contexts through ContainsGroupFor must

@@ -186,20 +186,16 @@ std::vector<uint8_t> MakeValidSnapshotBytes(const std::string& path) {
   return ReadFile(path);
 }
 
-TEST(SnapshotRoundTripTest, SeededByteFlipsAreAlwaysRejected) {
+TEST(SnapshotRoundTripTest, EveryByteFlipIsRejected) {
   const std::string path = TempPath("corrupt");
   const std::vector<uint8_t> good = MakeValidSnapshotBytes(path);
   ASSERT_GT(good.size(), 64u);
 
   // The container must reject EVERY single-byte flip: header fields are
-  // validated directly and the payload is checksummed, so no flip position
-  // can slip through.  Sample positions across the whole file, seeded.
-  std::mt19937 rng(0xC0DEC);
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < 64; ++i) positions.push_back(i);  // all header bytes
-  for (int i = 0; i < 200; ++i) positions.push_back(rng() % good.size());
-
-  for (size_t pos : positions) {
+  // validated directly (counts are bounded by the bytes left before any
+  // allocation) and the payload is checksummed, so no flip position can
+  // slip through.  The file is ~2 KiB, so every position is tried.
+  for (size_t pos = 0; pos < good.size(); ++pos) {
     std::vector<uint8_t> bad = good;
     bad[pos] ^= 0x5A;
     WriteFile(path, bad);
