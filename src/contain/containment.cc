@@ -37,13 +37,6 @@ int32_t CanonicalBound(const Tpq& q, ContainmentOptions::Bound bound) {
 
 namespace {
 
-bool Matches(const Tpq& q, const Tree& t, Mode mode, EngineStats* stats,
-             bool word_parallel) {
-  Matcher matcher(q, t, stats, word_parallel);
-  return mode == Mode::kStrong ? matcher.MatchesStrong()
-                               : matcher.MatchesWeak();
-}
-
 ProgramKey KeyFor(const Tpq& q, Mode mode, LabelPool* pool) {
   return ProgramKey{CanonicalTpqHash(q), pool->generation(),
                     static_cast<uint32_t>(mode)};
@@ -54,14 +47,12 @@ ProgramKey KeyFor(const Tpq& q, Mode mode, LabelPool* pool) {
 /// length-vector space, amortizing the compile internally), but still go
 /// through `options.program_cache` when one is wired so repeated hot sweeps
 /// skip the compile and later single-tree requests start warm.  Null means:
-/// use the generic DP (disabled, >64 nodes, or the soft compile charge was
-/// refused — never an error, never an exhausted budget).
+/// use the generic DP (>64 nodes, or the soft compile charge was refused —
+/// never an error, never an exhausted budget).
 std::shared_ptr<const MatcherProgram> SweepProgram(
     const Tpq& q, Mode mode, LabelPool* pool, EngineContext* ctx,
     const ContainmentOptions& options) {
-  if (!options.compiled_matcher || !MatcherProgram::Compilable(q)) {
-    return nullptr;
-  }
+  if (!MatcherProgram::Compilable(q)) return nullptr;
   ProgramCache* cache = options.program_cache;
   if (cache == nullptr) {
     // Uncached program: lives for this sweep only, charged to this context.
@@ -87,10 +78,7 @@ std::shared_ptr<const MatcherProgram> HotProgram(
     const Tpq& q, Mode mode, LabelPool* pool, EngineContext* ctx,
     const ContainmentOptions& options) {
   ProgramCache* cache = options.program_cache;
-  if (!options.compiled_matcher || cache == nullptr ||
-      !MatcherProgram::Compilable(q)) {
-    return nullptr;
-  }
+  if (cache == nullptr || !MatcherProgram::Compilable(q)) return nullptr;
   const ProgramKey key = KeyFor(q, mode, pool);
   bool should_compile = false;
   auto program = cache->Get(key, &should_compile);
@@ -103,9 +91,10 @@ std::shared_ptr<const MatcherProgram> HotProgram(
   return program;
 }
 
-/// `Matches` with the compiled fast path in front: when the pattern is hot
-/// a pooled `ProgramExec` answers from the flat program; otherwise (or when
-/// the soft scratch charge is refused) the generic matcher decides.
+/// Whether `t` matches `q`, with the compiled fast path in front: when the
+/// pattern is hot a pooled `ProgramExec` answers from the flat program;
+/// otherwise (or when the soft scratch charge is refused) the generic
+/// matcher decides.
 bool MatchesRouted(const Tpq& q, const Tree& t, Mode mode, LabelPool* pool,
                    EngineContext* ctx, const ContainmentOptions& options) {
   if (auto program = HotProgram(q, mode, pool, ctx, options)) {
@@ -116,7 +105,9 @@ bool MatchesRouted(const Tpq& q, const Tree& t, Mode mode, LabelPool* pool,
       return mode == Mode::kStrong ? r.strong : r.weak;
     }
   }
-  return Matches(q, t, mode, &ctx->stats(), options.word_parallel);
+  const Matcher matcher(q, t, &ctx->stats());
+  return mode == Mode::kStrong ? matcher.MatchesStrong()
+                               : matcher.MatchesWeak();
 }
 
 /// Returns a copy of `q` with the root label replaced.
@@ -152,7 +143,7 @@ struct SweepMember {
 /// The canonical-model sweep (Theorem 3.3, Appendix B): enumerates the
 /// chain-length vectors of p up to `bound` in `CanonicalLengthEnumerator`
 /// order, builds each canonical tree once (from the first changed spine
-/// only when `options.incremental`) and evaluates it against every
+/// only, after a chunk's first tree) and evaluates it against every
 /// still-undecided member through a `SweepBank`.  A member retires at its
 /// first counterexample or budget trip (the undecided mask); the sweep stops
 /// once every member has retired, and members still undecided then matched
@@ -216,8 +207,7 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
       gstats.canonical_trees_enumerated.fetch_add(1,
                                                   std::memory_order_relaxed);
       const size_t first_changed = lengths.first_changed();
-      const bool suffix_only =
-          !fresh && options.incremental && first_changed < builder.num_spines();
+      const bool suffix_only = !fresh && first_changed < builder.num_spines();
       if (suffix_only) {
         builder.BuildSuffix(lengths.lengths(), first_changed, &scratch);
         gstats.trees_rebuilt_from_spine.fetch_add(1,
@@ -241,8 +231,7 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
         }
         ++evaluated;
         if (bank.EvalMember(i, scratch, suffix_only, stable_limit,
-                            mode == Mode::kStrong, options.word_parallel,
-                            &m.ctx->stats())) {
+                            mode == Mode::kStrong, &m.ctx->stats())) {
           continue;
         }
         retire(i);

@@ -82,36 +82,22 @@ struct ContainmentOptions {
   /// If true, the dispatcher may not route to the fragment-specific P
   /// algorithms (used by tests to force the general procedure).
   bool force_canonical = false;
-  /// If true (default) the canonical sweep rebuilds each model from the
-  /// first changed spine only and re-runs the embedding DP on just the
-  /// invalidated columns; if false every model is built and evaluated from
-  /// scratch (for A/B benchmarks and agreement tests).
-  bool incremental = true;
   /// If true, the canonical sweep never engages the thread pool even when
   /// `ctx->threads() > 1`.  Callers that are *themselves* pool jobs (the
   /// query service's batch fan-out) must set this: `ThreadPool::ParallelFor`
   /// does not support reentrant submission from a worker.
   bool sequential_sweep = false;
-  /// If true (default) the embedding DP uses the word-parallel fill kernel
-  /// (missing-bits scatter + branch-free leaf columns); if false it uses the
-  /// scalar per-candidate kernel.  Both produce bit-identical tables — the
-  /// flag exists for A/B benchmarks and the agreement suites
-  /// (`tpc_cli --no-word-parallel`).
-  bool word_parallel = true;
-  /// If true (default) patterns with at most 64 nodes may be lowered to a
-  /// flat `MatcherProgram` (src/compile/) executed over the tree's postorder
-  /// columns instead of the generic DP fill.  Canonical sweeps compile
-  /// unconditionally (one sweep amortizes the compile internally); the
-  /// single-tree routes compile only once `program_cache` reports the
-  /// pattern hot.  Verdicts are bit-identical either way — the flag exists
-  /// for A/B benchmarks and the agreement suites (`tpc_cli --no-compile`).
-  bool compiled_matcher = true;
   /// Number of sightings of a `(pattern, pool, mode)` key in
   /// `program_cache` before the single-tree routes pay the compile.
   int32_t compile_threshold = 4;
   /// Optional pool of compiled programs shared across calls (the query
-  /// service owns one beside its verdict cache).  Null means: sweeps still
-  /// compile per call, single-tree routes never do (no hotness evidence).
+  /// service owns one beside its verdict cache).  Patterns with at most 64
+  /// nodes are lowered to a flat `MatcherProgram` (src/compile/) executed
+  /// over the tree's postorder columns: canonical sweeps compile
+  /// unconditionally (one sweep amortizes the compile internally), the
+  /// single-tree routes only once this pool reports the pattern hot.  Null
+  /// means: sweeps still compile per call, single-tree routes never do (no
+  /// hotness evidence).
   ProgramCache* program_cache = nullptr;
 };
 

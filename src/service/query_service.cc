@@ -29,20 +29,17 @@ QueryService::QueryService(LabelPool* pool, EngineContext* ctx,
       ctx_(ctx),
       options_(options),
       cache_(options.cache_shards, options.cache_bytes, &ctx->budget(),
-             &VerdictEntryCost) {
+             &VerdictEntryCost),
+      programs_(std::make_unique<ProgramCache>(
+          options.cache_shards, options.program_cache_bytes,
+          options.containment.compile_threshold, &ctx->budget())) {
   // All tracked shims release into ctx's budget on destruction, so the
   // service must not outlive its context.
   memo_tracked_.Attach(&ctx->budget());
   probe_tracked_.Attach(&ctx->budget());
-  if (options_.containment.compiled_matcher) {
-    programs_ = std::make_unique<ProgramCache>(
-        options_.cache_shards, options_.program_cache_bytes,
-        options_.containment.compile_threshold, &ctx->budget());
-  }
   if (options_.use_cache) {
-    // Built whenever the cache layer is: even with `use_lattice` off the
-    // lattice records verdicts (cheap), because it doubles as the pattern
-    // registry snapshot persistence resolves cache keys through.
+    // Built whenever the cache layer is: the lattice also doubles as the
+    // pattern registry snapshot persistence resolves cache keys through.
     lattice_ = std::make_unique<VerdictLattice>(options_.lattice_bytes,
                                                 &ctx->budget());
   }
@@ -144,9 +141,7 @@ void QueryService::SeedMinimized(const Tpq& pattern, const TpqDigest& digest,
 
 std::shared_ptr<const MatcherProgram> QueryService::PooledProgram(
     const Tpq& pattern, uint64_t hash, Mode mode, EngineContext* ctx) {
-  if (programs_ == nullptr || !MatcherProgram::Compilable(pattern)) {
-    return nullptr;
-  }
+  if (!MatcherProgram::Compilable(pattern)) return nullptr;
   const ProgramKey key{hash, pool_->generation(), static_cast<uint32_t>(mode)};
   bool should_compile = false;
   std::shared_ptr<const MatcherProgram> program =
@@ -278,8 +273,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   // rebuilds the induced canonical tree of the *live* p — so neither path
   // can be fooled by a digest collision.  Derived verdicts are cached, so
   // the derivation happens once per pair.
-  if (have_key && lattice_ != nullptr && options_.use_lattice &&
-      !ctx->budget().Exhausted()) {
+  if (have_key && lattice_ != nullptr && !ctx->budget().Exhausted()) {
     if (lattice_->Stitch(pm->digest, qm->digest, mode, options.bound,
                          key.pool_generation, &ctx->budget())) {
       stats.lattice_stitch_hits.fetch_add(1, std::memory_order_relaxed);
@@ -403,7 +397,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
             budget_ok = false;
             break;
           }
-          ws->EvalFull(*qq, t, &stats, options.word_parallel);
+          ws->EvalFull(*qq, t, &stats);
           matches =
               mode == Mode::kStrong ? ws->MatchesStrong() : ws->MatchesWeak();
         }
@@ -742,13 +736,11 @@ bool QueryService::SaveSnapshot(const std::string& path, std::string* error) {
     writer.AddVerdict(v);  // a refused entry is simply absent from the file
   }
 
-  if (programs_ != nullptr) {
-    for (const ProgramKey& pk : programs_->HotKeys()) {
-      if (pk.pool_generation != generation) continue;
-      const std::optional<uint32_t> idx = index_of(pk.pattern_hash);
-      if (!idx.has_value()) continue;
-      writer.AddHotProgram(SnapshotHotProgram{*idx, pk.mode_tag});
-    }
+  for (const ProgramKey& pk : programs_->HotKeys()) {
+    if (pk.pool_generation != generation) continue;
+    const std::optional<uint32_t> idx = index_of(pk.pattern_hash);
+    if (!idx.has_value()) continue;
+    writer.AddHotProgram(SnapshotHotProgram{*idx, pk.mode_tag});
   }
   return writer.WriteTo(path, error);
 }
@@ -869,13 +861,11 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
                                     std::memory_order_relaxed);
   }
 
-  if (programs_ != nullptr) {
-    for (uint32_t i = 0; i < reader->hot_program_count(); ++i) {
-      const SnapshotHotProgram& rec = reader->HotProgramAt(i);
-      const LoadedPattern& pl = pats[rec.pattern_index];
-      if (!pl.ok || rec.mode_tag > 1) continue;
-      programs_->Warm(ProgramKey{pl.digest.lo, generation, rec.mode_tag});
-    }
+  for (uint32_t i = 0; i < reader->hot_program_count(); ++i) {
+    const SnapshotHotProgram& rec = reader->HotProgramAt(i);
+    const LoadedPattern& pl = pats[rec.pattern_index];
+    if (!pl.ok || rec.mode_tag > 1) continue;
+    programs_->Warm(ProgramKey{pl.digest.lo, generation, rec.mode_tag});
   }
 
   // Adopt the mapping last: the fast path only ever sees a fully-loaded

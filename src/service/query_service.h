@@ -67,13 +67,11 @@ struct ServiceOptions {
   bool use_cache = true;
   /// Homomorphism-accept and probe-refute layer.
   bool use_prefilters = true;
-  /// Subsumption-lattice layer (service/verdict_lattice.h): answer cache
-  /// misses by stitching cached contained edges (transitivity) or by
-  /// replaying a neighbour's borrowed counterexample witness.  Off for A/B
-  /// runs (`tpc_cli --no-lattice`); recording continues either way so the
-  /// pattern registry stays complete for snapshot persistence.
-  bool use_lattice = true;
-  /// Byte bound of the lattice (nodes + edges + stored witnesses).
+  /// Byte bound of the subsumption lattice (service/verdict_lattice.h),
+  /// built with the cache layer: it answers cache misses by stitching
+  /// cached contained edges (transitivity) or by replaying a neighbour's
+  /// borrowed counterexample witness, and doubles as the pattern registry
+  /// of snapshot persistence.  Counts nodes + edges + stored witnesses.
   int64_t lattice_bytes = 1 << 20;
   /// Shards of the verdict cache (contention knob, not capacity).
   size_t cache_shards = 8;
@@ -83,8 +81,7 @@ struct ServiceOptions {
   size_t probe_pool_limit = 4;
   /// Byte bound of the compiled-program pool (src/compile/), which sits
   /// beside the verdict cache and serves the dispatcher's sweeps, the
-  /// single-tree routes and the probe cascade.  Only built when
-  /// `containment.compiled_matcher` is on.
+  /// single-tree routes and the probe cascade.
   int64_t program_cache_bytes = 1 << 20;
   /// Options forwarded to the underlying dispatcher (bound is part of the
   /// cache key).
@@ -279,7 +276,7 @@ class QueryService {
   EngineContext* ctx_;
   ServiceOptions options_;
   VerdictLruCache cache_;
-  std::unique_ptr<ProgramCache> programs_;
+  std::unique_ptr<ProgramCache> programs_;  // never null
   std::unique_ptr<VerdictLattice> lattice_;
 
   // Warm-start state (LoadSnapshot): the mapped snapshot plus the verdict

@@ -2,14 +2,14 @@
 // service's batch grouping and the daemon-style `ContainsGroupFor` entry)
 // with solo decisions and with a test-only reference sweep.  Solo and
 // grouped decisions share one sweep loop, so the 500-instance suite checks
-// both against `ReferenceSweep` below, which builds every canonical model
-// from scratch and matches it with a fresh `Matcher`.  Grouping is a pure
-// execution-plan change, so EVERYTHING observable must survive it:
-// verdicts, outcomes, exhaustion reasons and per-member step attribution
-// (bit-identical budget charges on sequential sweeps), counterexample
-// length vectors on deterministic configurations, and witness validity on
-// parallel ones.  500 random instances across group sizes 1/4/16, both
-// modes, and 1/2/4-thread group contexts.
+// both against `ReferenceSweep` (reference_embedding.h), which builds every
+// canonical model from scratch and matches it with the Definition 2.1
+// oracle.  Grouping is a pure execution-plan change, so EVERYTHING
+// observable must survive it: verdicts, outcomes, exhaustion reasons and
+// per-member step attribution (bit-identical budget charges on sequential
+// sweeps), counterexample length vectors on deterministic configurations,
+// and witness validity on parallel ones.  500 random instances across
+// group sizes 1/4/16, both modes, and 1/2/4-thread group contexts.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "match/embedding.h"
 #include "pattern/canonical.h"
 #include "reductions/hardness_families.h"
+#include "reference_embedding.h"
 #include "service/query_service.h"
 
 namespace tpc {
@@ -74,49 +75,6 @@ ConpGroupPatterns MakeConpGroupPatterns(LabelPool* pool) {
   return out;
 }
 
-/// Test-only reference for the canonical-model procedure (Theorem 3.3):
-/// every canonical model of p with chains up to the safe bound |q|+1,
-/// each built from scratch by `CanonicalTree` and matched by a fresh
-/// `Matcher`, in `CanonicalLengthEnumerator` order — no suffix rebuild, no
-/// `SweepBank`, no dispatcher.  Strong mode matches root to root directly
-/// instead of relabelling roots (Observation 2.3).  Returns the first
-/// refuting length vector, or nullopt when q matches every model.
-std::optional<std::vector<int32_t>> ReferenceSweep(const Tpq& p, const Tpq& q,
-                                                   Mode mode,
-                                                   LabelId bottom) {
-  CanonicalLengthEnumerator lengths(DescendantEdges(p).size(), q.size() + 1);
-  do {
-    const Tree t = CanonicalTree(p, lengths.lengths(), bottom);
-    const Matcher m(q, t);
-    if (!(mode == Mode::kStrong ? m.MatchesStrong() : m.MatchesWeak())) {
-      return lengths.lengths();
-    }
-  } while (lengths.Next());
-  return std::nullopt;
-}
-
-/// Checks one decided result against the reference: the verdict always; on
-/// the canonical-enumeration route the exact first-in-order length vector;
-/// on the other canonical-model routes (homomorphism all-ones, minimal
-/// canonical all-zeros) that the reported vector's model really refutes q.
-void ExpectAgreesWithReference(
-    const ContainmentResult& r, const Tpq& p, const Tpq& q, Mode mode,
-    LabelId bottom, const std::optional<std::vector<int32_t>>& reference,
-    const std::string& where) {
-  ASSERT_EQ(r.outcome, Outcome::kDecided) << where;
-  ASSERT_EQ(r.contained, !reference.has_value()) << where;
-  if (!r.counterexample_lengths.has_value()) return;
-  ASSERT_FALSE(r.contained) << where;
-  if (r.algorithm == ContainmentAlgorithm::kCanonicalEnumeration) {
-    EXPECT_EQ(*r.counterexample_lengths, *reference) << where;
-    return;
-  }
-  const Tree t = CanonicalTree(p, *r.counterexample_lengths, bottom);
-  const Matcher m(q, t);
-  EXPECT_FALSE(mode == Mode::kStrong ? m.MatchesStrong() : m.MatchesWeak())
-      << where << ": reported lengths do not refute q";
-}
-
 // The 500-instance core: grouped and solo decisions must both agree with
 // the reference sweep — verdict and counterexample lengths — and grouped
 // decisions must charge each member exactly its solo steps.
@@ -161,7 +119,9 @@ TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
       ContainmentResult solo = Contains(p, q, mode, &pool, &solo_ctx);
       const ContainmentResult& g = grouped[static_cast<size_t>(j)];
       const std::optional<std::vector<int32_t>> reference =
-          ReferenceSweep(p, q, mode, bottom);
+          ReferenceSweep(p, q, mode,
+                         SweepBound(q, mode, ContainmentOptions::Bound::kSafe),
+                         bottom);
       const std::string where = "trial " + std::to_string(trial) +
                                 " member " + std::to_string(j) + ": " +
                                 p.ToString(pool) + " in " + q.ToString(pool);

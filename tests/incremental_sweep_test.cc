@@ -1,41 +1,41 @@
 // The incremental canonical sweep (spine-suffix rebuilds + DP column reuse)
-// must be observationally equivalent to the from-scratch sweep: same
-// verdicts, same counterexample length vectors in enumeration order, and —
-// where it differs by design — strictly less DP work, visible through the
-// `dp_cells_reused` / `trees_rebuilt_from_spine` counters.
+// against the from-scratch `ReferenceSweep` of reference_embedding.h: same
+// verdicts, the same first-in-order counterexample length vectors on
+// sequential sweeps, valid witnesses on parallel ones, and DP work whose
+// filled and reused cells add up exactly to the from-scratch total.
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "base/label.h"
 #include "contain/containment.h"
 #include "engine/engine.h"
 #include "gen/random_instances.h"
-#include "match/embedding.h"
 #include "pattern/canonical.h"
-#include "pattern/normalize.h"
 #include "reductions/hardness_families.h"
+#include "reference_embedding.h"
 
 namespace tpc {
 namespace {
 
-ContainmentOptions SweepOptions(bool incremental) {
+ContainmentOptions SweepOptions() {
   ContainmentOptions options;
   options.force_canonical = true;
   options.bound = ContainmentOptions::Bound::kAggressive;
-  options.incremental = incremental;
   return options;
 }
 
-/// Incremental and from-scratch sequential sweeps walk the length-vector
-/// space in the same order, so they must agree bit-for-bit: verdict,
-/// counterexample presence, and the exact counterexample length vector.
-TEST(IncrementalSweepTest, AgreesWithScratchSequentially) {
+/// A sequential sweep walks the length-vector space in the reference's
+/// order, so it must agree bit-for-bit: verdict, counterexample presence,
+/// and the exact counterexample length vector.
+TEST(IncrementalSweepTest, MatchesReferenceSequentially) {
   LabelPool pool;
   std::mt19937 rng(97531);
   std::vector<LabelId> labels = MakeLabels(3, &pool);
+  const LabelId bottom = pool.Fresh("_ref_bot");
   int not_contained = 0;
   for (int trial = 0; trial < 500; ++trial) {
     RandomTpqOptions popts;
@@ -47,22 +47,17 @@ TEST(IncrementalSweepTest, AgreesWithScratchSequentially) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     Mode mode = trial % 4 == 0 ? Mode::kStrong : Mode::kWeak;
-    ContainmentResult incremental =
-        Contains(p, q, mode, &pool, SweepOptions(true));
-    ContainmentResult scratch =
-        Contains(p, q, mode, &pool, SweepOptions(false));
-    ASSERT_EQ(incremental.outcome, Outcome::kDecided);
-    ASSERT_EQ(scratch.outcome, Outcome::kDecided);
-    ASSERT_EQ(incremental.contained, scratch.contained)
-        << p.ToString(pool) << " in " << q.ToString(pool);
-    ASSERT_EQ(incremental.counterexample.has_value(),
-              scratch.counterexample.has_value());
-    ASSERT_EQ(incremental.counterexample_lengths.has_value(),
-              scratch.counterexample_lengths.has_value());
-    if (incremental.counterexample_lengths.has_value()) {
-      EXPECT_EQ(*incremental.counterexample_lengths,
-                *scratch.counterexample_lengths)
-          << p.ToString(pool) << " in " << q.ToString(pool);
+    ContainmentResult r = Contains(p, q, mode, &pool, SweepOptions());
+    const std::optional<std::vector<int32_t>> reference = ReferenceSweep(
+        p, q, mode,
+        SweepBound(q, mode, ContainmentOptions::Bound::kAggressive), bottom);
+    ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithReference(
+        r, p, q, mode, bottom, reference,
+        "trial " + std::to_string(trial) + ": " + p.ToString(pool) + " in " +
+            q.ToString(pool)));
+    if (reference.has_value()) {
+      ASSERT_TRUE(r.counterexample.has_value());
+      ASSERT_TRUE(r.counterexample_lengths.has_value());
       ++not_contained;
     }
   }
@@ -72,15 +67,17 @@ TEST(IncrementalSweepTest, AgreesWithScratchSequentially) {
 
 /// The parallel sweep may report any counterexample (first chunk to find
 /// one wins), so agreement is on the verdict; the reported length vector
-/// must still denote a genuine counterexample canonical model.
-TEST(IncrementalSweepTest, AgreesWithScratchInParallel) {
+/// and tree must still denote a genuine counterexample canonical model.
+TEST(IncrementalSweepTest, ParallelWitnessesAreValid) {
   LabelPool pool;
   std::mt19937 rng(86420);
   std::vector<LabelId> labels = MakeLabels(3, &pool);
+  const LabelId bottom = pool.Fresh("_ref_bot");
   EngineConfig config;
   config.threads = 4;
   config.parallel_threshold = 1;
   config.parallel_chunk = 4;
+  int not_contained = 0;
   for (int trial = 0; trial < 150; ++trial) {
     RandomTpqOptions popts;
     popts.labels = labels;
@@ -91,64 +88,66 @@ TEST(IncrementalSweepTest, AgreesWithScratchInParallel) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     EngineContext parallel_ctx(config);
-    ContainmentResult incremental =
-        Contains(p, q, Mode::kWeak, &pool, &parallel_ctx, SweepOptions(true));
-    ContainmentResult scratch =
-        Contains(p, q, Mode::kWeak, &pool, SweepOptions(false));
-    ASSERT_EQ(incremental.outcome, Outcome::kDecided);
-    ASSERT_EQ(incremental.contained, scratch.contained)
-        << p.ToString(pool) << " in " << q.ToString(pool);
-    if (!incremental.contained) {
-      ASSERT_TRUE(incremental.counterexample_lengths.has_value());
-      const std::vector<int32_t>& lengths =
-          *incremental.counterexample_lengths;
-      ASSERT_EQ(lengths.size(), DescendantEdges(p).size());
-      Tree model = CanonicalTree(p, lengths, pool.Fresh("_bot"));
-      EXPECT_FALSE(MatchesWeak(Normalize(q), model))
-          << p.ToString(pool) << " in " << q.ToString(pool);
+    ContainmentResult r =
+        Contains(p, q, Mode::kWeak, &pool, &parallel_ctx, SweepOptions());
+    const std::optional<std::vector<int32_t>> reference = ReferenceSweep(
+        p, q, Mode::kWeak,
+        SweepBound(q, Mode::kWeak, ContainmentOptions::Bound::kAggressive),
+        bottom);
+    ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithReference(
+        r, p, q, Mode::kWeak, bottom, reference,
+        "trial " + std::to_string(trial) + ": " + p.ToString(pool) + " in " +
+            q.ToString(pool),
+        /*exact_lengths=*/false));
+    if (!r.contained) {
+      ASSERT_TRUE(r.counterexample.has_value());
+      ASSERT_TRUE(r.counterexample_lengths.has_value());
+      ++not_contained;
     }
   }
+  EXPECT_GT(not_contained, 10);
 }
 
-/// On the coNP family the suffix memoization must cut `dp_cells_filled` by
-/// at least 2x against from-scratch sweeps (ISSUE acceptance criterion),
-/// with the reuse reported through the new counters.
+/// Exact DP accounting on the coNP family: every enumerated model's
+/// |q| * |t| cells are either filled or reused, so the two counters add up
+/// to the from-scratch total computed here model by model, and the suffix
+/// memoization fills at most half of it.
 TEST(IncrementalSweepTest, ReusesAtLeastHalfTheDpCells) {
   LabelPool pool;
   ConpFamilyInstance inst = BuildConpFamily(4, &pool);
-  EngineContext incremental_ctx;
-  ContainmentResult incremental = Contains(inst.p, inst.q_yes, Mode::kWeak,
-                                           &pool, &incremental_ctx,
-                                           SweepOptions(true));
-  EngineContext scratch_ctx;
-  ContainmentResult scratch = Contains(inst.p, inst.q_yes, Mode::kWeak, &pool,
-                                       &scratch_ctx, SweepOptions(false));
-  ASSERT_TRUE(incremental.contained);
-  ASSERT_TRUE(scratch.contained);
-  int64_t filled_incremental =
-      incremental_ctx.stats().dp_cells_filled.load(std::memory_order_relaxed);
-  int64_t filled_scratch =
-      scratch_ctx.stats().dp_cells_filled.load(std::memory_order_relaxed);
-  int64_t reused =
-      incremental_ctx.stats().dp_cells_reused.load(std::memory_order_relaxed);
-  int64_t rebuilt = incremental_ctx.stats().trees_rebuilt_from_spine.load(
-      std::memory_order_relaxed);
-  EXPECT_GE(filled_scratch, 2 * filled_incremental)
+  EngineContext ctx;
+  ContainmentResult r =
+      Contains(inst.p, inst.q_yes, Mode::kWeak, &pool, &ctx, SweepOptions());
+  ASSERT_EQ(r.outcome, Outcome::kDecided);
+  ASSERT_TRUE(r.contained);
+
+  const LabelId bottom = pool.Fresh("_ref_bot");
+  CanonicalLengthEnumerator lengths(
+      DescendantEdges(inst.p).size(),
+      SweepBound(inst.q_yes, Mode::kWeak,
+                 ContainmentOptions::Bound::kAggressive));
+  int64_t models = 0;
+  int64_t total_cells = 0;
+  do {
+    ++models;
+    total_cells += static_cast<int64_t>(inst.q_yes.size()) *
+                   CanonicalTree(inst.p, lengths.lengths(), bottom).size();
+  } while (lengths.Next());
+
+  const EngineStats& stats = ctx.stats();
+  const int64_t filled = stats.dp_cells_filled.load(std::memory_order_relaxed);
+  const int64_t reused = stats.dp_cells_reused.load(std::memory_order_relaxed);
+  const int64_t rebuilt =
+      stats.trees_rebuilt_from_spine.load(std::memory_order_relaxed);
+  EXPECT_EQ(filled + reused, total_cells);
+  EXPECT_LE(2 * filled, total_cells)
       << "incremental sweep saved too little DP work";
   EXPECT_GT(reused, 0);
-  EXPECT_GT(rebuilt, 0);
-  // From-scratch sweeps reuse nothing and never rebuild from a spine.
-  EXPECT_EQ(scratch_ctx.stats().dp_cells_reused.load(
-                std::memory_order_relaxed),
-            0);
-  EXPECT_EQ(scratch_ctx.stats().trees_rebuilt_from_spine.load(
-                std::memory_order_relaxed),
-            0);
-  // Both sweeps walked the identical model space.
-  EXPECT_EQ(incremental_ctx.stats().canonical_trees_enumerated.load(
-                std::memory_order_relaxed),
-            scratch_ctx.stats().canonical_trees_enumerated.load(
-                std::memory_order_relaxed));
+  // A contained instance sweeps the whole space; every model after the
+  // first is rebuilt from its first changed spine.
+  EXPECT_EQ(stats.canonical_trees_enumerated.load(std::memory_order_relaxed),
+            models);
+  EXPECT_EQ(rebuilt, models - 1);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // reached, never the verdict.  Stitched containments (transitive chains of
 // cached contained edges) and borrowed-witness refutations (a neighbour's
 // replayed counterexample) must agree with the plain dispatcher on every
-// decided instance, across both modes, 1/2/4 threads, lattice on/off, and
-// cold/warm cache temperatures.  The suite also pins the snapshot warm-start
+// decided instance, across both modes, 1/2/4 threads, and cold/warm cache
+// temperatures.  The suite also pins the snapshot warm-start
 // path: a service reloaded from a snapshot must reproduce the saved
 // service's verdicts, and with hot programs it must validate cached
 // refutations zero-copy against the mapped counterexample trees.
@@ -226,12 +226,12 @@ TEST(LatticeAgreementTest, SharedEndpointRefutationsBorrowWitnesses) {
   EXPECT_FALSE(MatchesWeak(q2, *second.counterexample));
 }
 
-// The full matrix: lattice on/off × 1/2/4 threads × cold/warm, on a chain
-// workload that mixes both modes, stitchable distant pairs and borrowable
-// reversed refutations.  Verdicts must be identical to the plain
-// dispatcher's in every cell, and the lattice must actually fire in the
-// enabled single-threaded cell.
-TEST(LatticeAgreementTest, ChainWorkloadAgreesAcrossLatticeAndThreads) {
+// The full matrix: 1/2/4 threads × cold/warm, on a chain workload that
+// mixes both modes, stitchable distant pairs and borrowable reversed
+// refutations.  Verdicts must be identical to the plain dispatcher's in
+// every cell, and the lattice must actually fire in the single-threaded
+// cell.
+TEST(LatticeAgreementTest, ChainWorkloadAgreesAcrossThreads) {
   LabelPool pool;
   std::vector<QueryService::BatchItem> items =
       MakeChainWorkload(&pool, /*chains=*/12, /*depth=*/4);
@@ -248,30 +248,26 @@ TEST(LatticeAgreementTest, ChainWorkloadAgreesAcrossLatticeAndThreads) {
   ASSERT_GT(refutations, 10);
   ASSERT_GT(static_cast<int>(reference.size()) - refutations, 10);
 
-  for (bool use_lattice : {true, false}) {
-    for (int threads : {1, 2, 4}) {
-      EngineConfig config;
-      config.threads = threads;
-      EngineContext ctx(config);
-      ServiceOptions options;
-      options.use_lattice = use_lattice;
-      options.containment = containment;
-      QueryService service(&pool, &ctx, options);
-      char tag[64];
-      std::snprintf(tag, sizeof(tag), "lattice=%d threads=%d", use_lattice,
-                    threads);
-      std::vector<ContainmentResult> cold = service.ContainsBatch(items);
-      CheckAgainstReference(items, reference, cold, &pool, tag);
-      std::vector<ContainmentResult> warm = service.ContainsBatch(items);
-      CheckAgainstReference(items, reference, warm, &pool, tag);
-      if (use_lattice && threads == 1) {
-        EXPECT_GT(
-            ctx.stats().lattice_stitch_hits.load(std::memory_order_relaxed) +
-                ctx.stats().witness_borrow_refutes.load(
-                    std::memory_order_relaxed),
-            0)
-            << tag;
-      }
+  for (int threads : {1, 2, 4}) {
+    EngineConfig config;
+    config.threads = threads;
+    EngineContext ctx(config);
+    ServiceOptions options;
+    options.containment = containment;
+    QueryService service(&pool, &ctx, options);
+    char tag[64];
+    std::snprintf(tag, sizeof(tag), "threads=%d", threads);
+    std::vector<ContainmentResult> cold = service.ContainsBatch(items);
+    CheckAgainstReference(items, reference, cold, &pool, tag);
+    std::vector<ContainmentResult> warm = service.ContainsBatch(items);
+    CheckAgainstReference(items, reference, warm, &pool, tag);
+    if (threads == 1) {
+      EXPECT_GT(
+          ctx.stats().lattice_stitch_hits.load(std::memory_order_relaxed) +
+              ctx.stats().witness_borrow_refutes.load(
+                  std::memory_order_relaxed),
+          0)
+          << tag;
     }
   }
 }
